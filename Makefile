@@ -9,10 +9,11 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check build vet fmt test race lint lint-udm lint-fix-check lint-staticcheck lint-vuln tools bench-smoke fuzz-smoke faults serve-smoke proxy-smoke tenant-smoke loadtest bench bench-snapshot bench-kde ci
+.PHONY: check build vet fmt test perfbench-test race lint lint-udm lint-fix-check lint-staticcheck lint-vuln tools bench-smoke fuzz-smoke faults serve-smoke proxy-smoke tenant-smoke loadtest bench bench-snapshot bench-kde ci
 
-## check: everything the CI "check" job gates on (build+vet+fmt+test)
-check: build vet fmt test
+## check: everything the CI "check" job gates on (build+vet+fmt+test,
+## and the same for the nested benchmark module)
+check: build vet fmt test perfbench-test
 
 build:
 	$(GO) build ./...
@@ -28,6 +29,12 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+## perfbench-test: vet and test the serving benchmark (perfbench/ is a
+## module of its own, which the root ./... never enters, so a server
+## API change that broke it would otherwise go unnoticed)
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## race: the CI race-detector job (correctness gate for the parallel engine)
 race:

@@ -144,7 +144,7 @@ func main() {
 		refreshMax    = flag.Int("refresh-max", 0, "max head refreshes after a stale-version answer (0 = default 3)")
 		fanoutWorkers = flag.Int("fanout-workers", 0, "scatter concurrency (0 = one goroutine per shard)")
 		maxBatch      = flag.Int("max-batch", 0, "max coalesced density requests per fan-out (0 = default 64)")
-		batchDelay    = flag.Duration("batch-delay", 0, "micro-batching window (0 = default 2ms; -1ns disables)")
+		batchDelay    = flag.Duration("batch-delay", 0, "max wait of a density request queued behind a running fan-out; an idle proxy fans out at once (0 = default 2ms; -1ns disables coalescing)")
 		timeout       = flag.Duration("timeout", 0, "per-request timeout (0 = default 30s)")
 		maxInflight   = flag.Int("max-inflight", 0, "max concurrently admitted requests before 429 shedding (0 = default 256)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")

@@ -2,11 +2,11 @@
 //
 // Train a transform on a noisy two-blob data set, register it with the
 // HTTP serving layer, and then act as a client against the live server:
-// single-point classify calls fired concurrently (so the server's
-// micro-batcher coalesces them onto one batched library call), a
-// repeated density query (the second hit answered from the LRU cache),
-// and a look at /metrics to see batching and caching at work. Finishes
-// with a graceful shutdown.
+// single-point classify calls fired concurrently (the server's
+// micro-batcher coalesces those queued behind a running batch onto one
+// batched library call), a repeated density query (the second hit
+// answered from the LRU cache), and a look at /metrics to see batching
+// and caching at work. Finishes with a graceful shutdown.
 //
 // Run with: go run ./examples/serve
 package main
@@ -59,8 +59,8 @@ func main() {
 	fmt.Printf("serving model %q at %s\n\n", "blobs", base)
 
 	// 3. Fire 32 single-point classify requests concurrently. Each HTTP
-	// request carries ONE point; the server coalesces whatever arrives
-	// within its 2ms batching window into one ClassifyBatch call.
+	// request carries ONE point; requests that arrive while a batch is
+	// running queue and ride the next ClassifyBatch call together.
 	pts := noisy.X[:32]
 	labels := make([]int, len(pts))
 	var wg sync.WaitGroup

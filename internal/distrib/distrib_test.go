@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"udm/internal/core"
 	"udm/internal/datagen"
@@ -301,6 +302,30 @@ func TestStaleVersionRefresh(t *testing.T) {
 	var want server.DensityResponse
 	postJSON(t, single+"/v1/models/live/density", server.DensityRequest{Points: queries}, &want)
 	bitsEqual(t, "re-pinned", after.Densities, want.Densities)
+}
+
+// TestProxyDefaultsMatchServer checks that a proxy built from zero
+// options runs with the serving defaults udmserve gets from
+// server.Options.WithDefaults, slow spans at 1s included: a zero slow
+// threshold would switch slow tracking off.
+func TestProxyDefaultsMatchServer(t *testing.T) {
+	p, err := NewProxy([]Shard{{Name: "a", URL: "http://127.0.0.1:1"}}, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := p.serverOpt, server.Options{}.WithDefaults()
+	if got.SlowRequest != time.Second || want.SlowRequest != time.Second {
+		t.Errorf("slow-span threshold: proxy %v, udmserve %v; want 1s for both", got.SlowRequest, want.SlowRequest)
+	}
+	if got.SlowLogf == nil {
+		t.Error("proxy has no slow-span log")
+	}
+	if got.MaxBatch != want.MaxBatch || got.BatchDelay != want.BatchDelay ||
+		got.RequestTimeout != want.RequestTimeout || got.MaxInflight != want.MaxInflight {
+		t.Errorf("proxy defaults (batch %d, delay %v, timeout %v, inflight %d) differ from udmserve's (%d, %v, %v, %d)",
+			got.MaxBatch, got.BatchDelay, got.RequestTimeout, got.MaxInflight,
+			want.MaxBatch, want.BatchDelay, want.RequestTimeout, want.MaxInflight)
+	}
 }
 
 // TestProxyReplicated checks the replicated mode: classify and density

@@ -100,7 +100,7 @@ type proxyModel struct {
 // the merge-determinism contract.
 type Proxy struct {
 	opt       Options
-	serverOpt server.Options // withDefaults applied
+	serverOpt server.Options // server.Options.WithDefaults applied
 	metrics   *Metrics
 	tracer    *obs.Tracer
 	shards    []*ShardClient
@@ -129,20 +129,7 @@ func NewProxyContext(ctx context.Context, shards []Shard, models []ModelConfig, 
 		return nil, fmt.Errorf("distrib: proxy needs at least one shard")
 	}
 	opt = opt.withDefaults()
-	sopt := opt.Server
-	// Reuse the server's defaulting for the shared knobs.
-	if sopt.MaxBatch == 0 {
-		sopt.MaxBatch = 64
-	}
-	if sopt.BatchDelay == 0 {
-		sopt.BatchDelay = 2 * time.Millisecond
-	}
-	if sopt.RequestTimeout == 0 {
-		sopt.RequestTimeout = 30 * time.Second
-	}
-	if sopt.MaxInflight == 0 {
-		sopt.MaxInflight = 256
-	}
+	sopt := opt.Server.WithDefaults()
 	p := &Proxy{
 		opt:       opt,
 		serverOpt: sopt,

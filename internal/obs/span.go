@@ -30,8 +30,8 @@ type Tracer struct {
 	nextID atomic.Uint64
 
 	mu     sync.Mutex
-	recent []Trace    // ring, oldest first
-	slow   []SpanInfo // ring, oldest first
+	recent ring[Trace]
+	slow   ring[SpanInfo]
 }
 
 // NewTracer returns a tracer with the given options.
@@ -39,7 +39,34 @@ func NewTracer(opt TracerOptions) *Tracer {
 	if opt.RingSize <= 0 {
 		opt.RingSize = 64
 	}
-	return &Tracer{opt: opt}
+	return &Tracer{
+		opt:    opt,
+		recent: ring[Trace]{buf: make([]Trace, 0, opt.RingSize)},
+		slow:   ring[SpanInfo]{buf: make([]SpanInfo, 0, opt.RingSize)},
+	}
+}
+
+// ring is a fixed-capacity circular buffer: once full, each push
+// overwrites the oldest entry in place.
+type ring[T any] struct {
+	buf  []T // grows to cap(buf), then stays that long
+	head int // index of the oldest entry once buf is full
+}
+
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % len(r.buf)
+}
+
+// entries returns a copy of the ring, oldest first.
+func (r *ring[T]) entries() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
 }
 
 // Attr is one key/value annotation on a span.
@@ -190,19 +217,13 @@ func (s *Span) End() {
 
 func (t *Tracer) pushRecent(tr Trace) {
 	t.mu.Lock()
-	t.recent = append(t.recent, tr)
-	if len(t.recent) > t.opt.RingSize {
-		t.recent = append(t.recent[:0], t.recent[len(t.recent)-t.opt.RingSize:]...)
-	}
+	t.recent.push(tr)
 	t.mu.Unlock()
 }
 
 func (t *Tracer) pushSlow(info SpanInfo) {
 	t.mu.Lock()
-	t.slow = append(t.slow, info)
-	if len(t.slow) > t.opt.RingSize {
-		t.slow = append(t.slow[:0], t.slow[len(t.slow)-t.opt.RingSize:]...)
-	}
+	t.slow.push(info)
 	t.mu.Unlock()
 }
 
@@ -210,18 +231,14 @@ func (t *Tracer) pushSlow(info SpanInfo) {
 // oldest first.
 func (t *Tracer) Recent() []Trace {
 	t.mu.Lock()
-	out := make([]Trace, len(t.recent))
-	copy(out, t.recent)
-	t.mu.Unlock()
-	return out
+	defer t.mu.Unlock()
+	return t.recent.entries()
 }
 
 // Slow returns a copy of the ring of spans that exceeded the slow
 // threshold, oldest first.
 func (t *Tracer) Slow() []SpanInfo {
 	t.mu.Lock()
-	out := make([]SpanInfo, len(t.slow))
-	copy(out, t.slow)
-	t.mu.Unlock()
-	return out
+	defer t.mu.Unlock()
+	return t.slow.entries()
 }

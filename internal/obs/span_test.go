@@ -104,6 +104,34 @@ func TestRecentRingBounded(t *testing.T) {
 	}
 }
 
+// TestRingOrderAcrossWraps checks that both rings stay oldest first
+// after every push, through several wrap-arounds, down to RingSize 1.
+func TestRingOrderAcrossWraps(t *testing.T) {
+	for _, size := range []int{1, 3} {
+		tr := NewTracer(TracerOptions{RingSize: size, SlowThreshold: time.Nanosecond})
+		ctx := WithTracer(context.Background(), tr)
+		for i := 0; i < 4*size+2; i++ {
+			_, sp := StartSpan(ctx, fmt.Sprintf("op%d", i))
+			time.Sleep(time.Microsecond) // every span is over the slow threshold
+			sp.End()
+
+			oldest := max(0, i+1-size)
+			recent, slow := tr.Recent(), tr.Slow()
+			if len(recent) != i+1-oldest || len(slow) != i+1-oldest {
+				t.Fatalf("size %d after %d pushes: %d recent, %d slow; want %d",
+					size, i+1, len(recent), len(slow), i+1-oldest)
+			}
+			for j := range recent {
+				want := fmt.Sprintf("op%d", oldest+j)
+				if recent[j].Root != want || slow[j].Name != want {
+					t.Fatalf("size %d after %d pushes: entry %d = %q (recent), %q (slow); want %q",
+						size, i+1, j, recent[j].Root, slow[j].Name, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSlowSpanLogged(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string

@@ -8,12 +8,19 @@ import (
 )
 
 // batcher coalesces concurrent single-item requests into one batched
-// call on the shared worker pool. The first item to arrive arms a
-// max-delay timer; the batch flushes when either MaxBatch items are
-// pending or the timer fires, whichever comes first. Coalescing turns
-// N concurrent single-point HTTP requests into one DensityBatch /
-// ClassifyBatch call that the parallel engine fans out across cores —
-// per-request goroutine overhead collapses into one chunked dispatch.
+// call on the shared worker pool, batching only while busy: at most
+// one batch per batcher is normally in flight. A submission that finds
+// no batch running flushes at once, in a goroutine of its own, so a
+// lone request never waits for company. Submissions that arrive while
+// a batch runs queue in pending; when the running batch returns, its
+// goroutine takes whatever is pending and runs that next, looping until
+// nothing is pending. Queueing ends early in two cases: MaxBatch
+// pending items flush at once, and maxDelay bounds how long an item may
+// wait behind a running batch (the timer is armed only for queued
+// items). A maxDelay ≤ 0 never coalesces: every item flushes at once.
+// Coalescing turns N queued single-point HTTP requests into one
+// DensityBatch / ClassifyBatch call that the parallel engine fans out
+// across cores.
 //
 // Cancellation: each submitted item carries its own context. A waiter
 // whose context ends stops waiting immediately (its slot in the batch
@@ -32,12 +39,13 @@ type batcher[Req, Res any] struct {
 	metrics  *Metrics
 
 	// drainNow flips on when the owning server starts draining: pending
-	// items flush immediately instead of waiting out the coalescing
-	// window, so graceful shutdown never strands an in-flight waiter
+	// items flush immediately instead of waiting behind the running
+	// batch, so graceful shutdown never strands an in-flight waiter
 	// behind a timer that may outlive the listener.
 	drainNow atomic.Bool
 
 	mu      sync.Mutex
+	busy    bool // a run loop owns the batcher (see loop)
 	pending []batchWaiter[Req, Res]
 	timer   *time.Timer
 }
@@ -74,22 +82,25 @@ func (b *batcher[Req, Res]) do(ctx context.Context, req Req) (Res, error) {
 	w := batchWaiter[Req, Res]{ctx: ctx, req: req, ch: make(chan batchResult[Res], 1)}
 	b.mu.Lock()
 	b.pending = append(b.pending, w)
-	if len(b.pending) >= b.maxBatch {
+	switch {
+	case !b.busy:
+		// Idle: start a run loop with this item at once.
+		b.busy = true
+		batch := b.takeLocked()
+		b.mu.Unlock()
+		go b.loop(batch)
+	case len(b.pending) >= b.maxBatch || b.maxDelay <= 0 || b.drainNow.Load():
+		// A full batch, no coalescing configured, or a draining server:
+		// flush beside the running batch instead of queueing behind it.
 		batch := b.takeLocked()
 		b.mu.Unlock()
 		go b.flush(batch)
-	} else {
-		if len(b.pending) == 1 && b.maxDelay > 0 {
+	default:
+		// Queued behind the running batch; bound the wait.
+		if len(b.pending) == 1 {
 			b.timer = time.AfterFunc(b.maxDelay, b.flushTimer)
 		}
 		b.mu.Unlock()
-		if b.maxDelay <= 0 || b.drainNow.Load() {
-			// No coalescing window configured — or the server is
-			// draining: flush whatever is pending immediately
-			// (degenerates to per-request batches of 1 unless arrivals
-			// race).
-			b.flushTimer()
-		}
 	}
 	select {
 	case r := <-w.ch:
@@ -111,10 +122,11 @@ func (b *batcher[Req, Res]) do(ctx context.Context, req Req) (Res, error) {
 
 // drain puts the batcher in drain mode and flushes whatever is pending:
 // items already waiting ride out immediately, and items admitted while
-// the listener winds down skip the coalescing window. Part of graceful
-// shutdown — without it, a request coalesced just before SIGTERM could
-// sit on the max-delay timer while the HTTP server's drain deadline
-// expires under it (observed as rare lost-batch 503s).
+// the listener winds down never queue behind a running batch. Part of
+// graceful shutdown — without it, a request queued just before SIGTERM
+// behind a slow batch could sit on the max-delay timer while the HTTP
+// server's drain deadline expires under it (observed as rare
+// lost-batch 503s).
 func (b *batcher[Req, Res]) drain() {
 	b.drainNow.Store(true)
 	b.flushTimer()
@@ -132,6 +144,24 @@ func (b *batcher[Req, Res]) takeLocked() []batchWaiter[Req, Res] {
 	return batch
 }
 
+// loop runs batch, then keeps running whatever queued behind it until
+// nothing is pending, and then marks the batcher idle.
+func (b *batcher[Req, Res]) loop(batch []batchWaiter[Req, Res]) {
+	for {
+		b.flush(batch)
+		b.mu.Lock()
+		if len(b.pending) == 0 {
+			b.busy = false
+			b.mu.Unlock()
+			return
+		}
+		batch = b.takeLocked()
+		b.mu.Unlock()
+	}
+}
+
+// flushTimer flushes whatever is pending in the calling goroutine: the
+// max-delay bound firing behind a running batch, or a drain.
 func (b *batcher[Req, Res]) flushTimer() {
 	b.mu.Lock()
 	batch := b.takeLocked()

@@ -24,7 +24,7 @@ func BenchmarkResilienceOverhead(b *testing.B) {
 		}
 	})
 	b.Run("retry", func(b *testing.B) {
-		r := newRetrier(Options{}.withDefaults(), newMetrics().Retries)
+		r := newRetrier(Options{}.WithDefaults(), newMetrics().Retries)
 		for i := 0; i < b.N; i++ {
 			if _, err := retryDo(ctx, r, nil, op); err != nil {
 				b.Fatal(err)
@@ -32,7 +32,7 @@ func BenchmarkResilienceOverhead(b *testing.B) {
 		}
 	})
 	b.Run("retry-breaker", func(b *testing.B) {
-		opt := Options{}.withDefaults()
+		opt := Options{}.WithDefaults()
 		m := newMetrics()
 		r := newRetrier(opt, m.Retries)
 		br := newBreaker("bench", opt, m.reg)

@@ -2,10 +2,14 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"udm/internal/faultinject"
 )
 
 // TestBatcherDrainOnShutdown is the regression test for the graceful-
@@ -15,11 +19,44 @@ import (
 // (observed as rare lost-batch 503s in the fault matrix). Shutdown
 // must now flush in-flight coalesced work immediately.
 func TestBatcherDrainOnShutdown(t *testing.T) {
-	// A batch window far longer than the test: without the drain, the
-	// parked request completes only when the 30s timer fires.
+	// A request waits on the BatchDelay timer only while it is queued
+	// behind a running batch. Stall the first batch for far longer than
+	// the test (a 30s injected flush latency) and give the queued
+	// request a 30s bound: without the drain, it completes only when
+	// one of them runs out.
+	faultinject.Reset()
+	defer faultinject.Reset()
+	if err := faultinject.Arm("server.batcher.flush", faultinject.Spec{Delay: 30 * time.Second, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
 	s := testServer(t, Options{BatchDelay: 30 * time.Second, MaxBatch: 64}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	url := ts.URL + "/v1/models/blobs/density"
+
+	// The blocker's client hangs up at the end of the test, which
+	// cancels its stalled batch.
+	blockCtx, unblock := context.WithCancel(context.Background())
+	blocked := make(chan struct{})
+	go func() {
+		defer close(blocked)
+		req, err := http.NewRequestWithContext(blockCtx, "POST", url, strings.NewReader(`{"point":[1,1]}`))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	defer func() { unblock(); <-blocked }()
+	deadline := time.Now().Add(5 * time.Second)
+	for flushFault.Fired() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocking batch never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	type result struct {
 		status int
@@ -28,12 +65,17 @@ func TestBatcherDrainOnShutdown(t *testing.T) {
 	resc := make(chan result, 1)
 	go func() {
 		var r result
-		r.status = postJSON(t, ts.URL+"/v1/models/blobs/density",
-			densityRequest{Point: []float64{0, 0}}, &r.resp)
+		r.status = postJSON(t, url, densityRequest{Point: []float64{0, 0}}, &r.resp)
 		resc <- r
 	}()
-	// Let the request reach the batcher and park on the delay timer.
-	time.Sleep(200 * time.Millisecond)
+	// Let the request reach the batcher and park behind the stalled
+	// batch, on the delay timer.
+	for pendingItems(s) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("request never queued behind the running batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -55,6 +97,19 @@ func TestBatcherDrainOnShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked request never completed; batcher was not drained")
 	}
+}
+
+// pendingItems counts the density items queued in s's batchers.
+func pendingItems(s *Server) int {
+	s.rtMu.Lock()
+	defer s.rtMu.Unlock()
+	n := 0
+	for _, mb := range s.runtimes {
+		mb.density.mu.Lock()
+		n += len(mb.density.pending)
+		mb.density.mu.Unlock()
+	}
+	return n
 }
 
 // TestBatcherDrainAdmitsLateItems checks the second half of the drain

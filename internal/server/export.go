@@ -100,7 +100,7 @@ type Guard struct {
 // breaker configuration (zero values get the production defaults;
 // negative RetryMax / BreakerThreshold disable that half).
 func NewGuard(target string, opt Options, reg *obs.Registry) *Guard {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	return &Guard{
 		retry: newRetrier(opt, reg.Counter("udm_retry_total",
 			"operations retried after a transient failure", "target", target)),
@@ -129,9 +129,11 @@ type Coalescer[Req, Res any] struct {
 }
 
 // NewCoalescer builds a coalescer whose batch lifetimes descend from
-// ctx. maxBatch and maxDelay follow the server's semantics (delay ≤ 0
-// flushes immediately); run receives the coalesced batch and returns
-// positional results.
+// ctx. maxBatch and maxDelay follow the server's batch-while-busy
+// semantics: an item that finds no batch running flushes at once,
+// items arriving while one runs ride the next batch, and maxDelay only
+// bounds that wait (≤ 0 never coalesces). run receives the coalesced
+// batch and returns positional results.
 func NewCoalescer[Req, Res any](ctx context.Context, maxBatch int, maxDelay time.Duration,
 	run func(ctx context.Context, reqs []Req) ([]Res, error)) *Coalescer[Req, Res] {
 	return &Coalescer[Req, Res]{b: newBatcher(ctx, maxBatch, maxDelay, nil, run)}
@@ -142,6 +144,6 @@ func (c *Coalescer[Req, Res]) Do(ctx context.Context, req Req) (Res, error) {
 	return c.b.do(ctx, req)
 }
 
-// Drain flushes pending items and makes later submissions bypass the
-// coalescing window (see batcher.drain).
+// Drain flushes pending items and makes later submissions flush at
+// once instead of queueing (see batcher.drain).
 func (c *Coalescer[Req, Res]) Drain() { c.b.drain() }

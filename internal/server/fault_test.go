@@ -416,7 +416,7 @@ func TestBatcherLateErrorDoesNotMaskCancellation(t *testing.T) {
 // a pure function of the seed, and every draw lands in [base, cap].
 func TestRetrierBackoffDeterministic(t *testing.T) {
 	schedule := func(seed int64) []time.Duration {
-		opt := Options{RetrySeed: seed, RetryBase: time.Millisecond, RetryCap: 50 * time.Millisecond}.withDefaults()
+		opt := Options{RetrySeed: seed, RetryBase: time.Millisecond, RetryCap: 50 * time.Millisecond}.WithDefaults()
 		r := newRetrier(opt, newMetrics().Retries)
 		prev := r.base
 		out := make([]time.Duration, 16)
@@ -452,7 +452,7 @@ func TestRetrierBackoffDeterministic(t *testing.T) {
 // half-open probe gating, reopen on probe failure, close after the
 // required consecutive successes.
 func TestBreakerStateMachine(t *testing.T) {
-	opt := Options{BreakerThreshold: 3, BreakerCooldown: time.Minute, BreakerProbes: 2}.withDefaults()
+	opt := Options{BreakerThreshold: 3, BreakerCooldown: time.Minute, BreakerProbes: 2}.WithDefaults()
 	b := newBreaker("m", opt, newMetrics().reg)
 	now := time.Unix(0, 0)
 	b.now = func() time.Time { return now }

@@ -21,10 +21,13 @@ type Options struct {
 	// MaxBatch caps how many coalesced single-point requests ride one
 	// batched library call (default 64).
 	MaxBatch int
-	// BatchDelay is the micro-batching window: how long the first
-	// request of a batch waits for company before the batch flushes
-	// (default 2ms). 0 disables coalescing (every request flushes
-	// immediately); shedding and caching still apply.
+	// BatchDelay bounds how long a single-point request may wait in
+	// its model's coalescer (default 2ms, which 0 also selects). A
+	// request that finds no batch running flushes at once; requests
+	// that arrive while one runs queue and ride the next batch
+	// together, flushing early at MaxBatch or when this bound expires.
+	// Negative disables coalescing: every request flushes at once in
+	// a batch of its own. Shedding and caching apply either way.
 	BatchDelay time.Duration
 	// RequestTimeout bounds each request's server-side work (default
 	// 30s). Exceeding it returns 504 and cancels the underlying batch
@@ -111,7 +114,10 @@ type Options struct {
 	ModelThreshold float64
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every zero field set to its default —
+// the one place the serving options are defaulted, shared by udmserve
+// and udmproxy. Negative SlowRequest and RetryMax become 0 (disabled).
+func (o Options) WithDefaults() Options {
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 64
 	}
@@ -236,7 +242,7 @@ func NewContext(ctx context.Context, reg *Registry, opt Options) *Server {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	s := &Server{
 		reg:     reg,
 		opt:     opt,

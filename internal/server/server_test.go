@@ -17,6 +17,7 @@ import (
 
 	"udm/internal/core"
 	"udm/internal/datagen"
+	"udm/internal/faultinject"
 	"udm/internal/kde"
 	"udm/internal/rng"
 	"udm/internal/stream"
@@ -467,10 +468,15 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 func TestLoadShedding(t *testing.T) {
-	// One admission slot and a long coalescing window: the first classify
-	// parks inside the batcher holding the slot, so the second request
-	// must be shed with 429.
-	s := testServer(t, Options{MaxInflight: 1, MaxBatch: 100, BatchDelay: 800 * time.Millisecond}, "")
+	// One admission slot and a stalled batch: the first classify parks
+	// inside its running batch (an 800ms injected flush latency) holding
+	// the slot, so the second request must be shed with 429.
+	faultinject.Reset()
+	defer faultinject.Reset()
+	if err := faultinject.Arm("server.batcher.flush", faultinject.Spec{Delay: 800 * time.Millisecond, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s := testServer(t, Options{MaxInflight: 1, MaxBatch: 100}, "")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	url := ts.URL + "/v1/models/blobs/classify"
@@ -505,7 +511,9 @@ func TestLoadShedding(t *testing.T) {
 
 func TestGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
-	s := testServer(t, Options{BatchDelay: 300 * time.Millisecond, MaxBatch: 100}, dir)
+	faultinject.Reset()
+	defer faultinject.Reset()
+	s := testServer(t, Options{MaxBatch: 100}, dir)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -522,8 +530,12 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatalf("ingest = %d, want 200", status)
 	}
 
-	// Park one classify inside the 300ms batching window, then shut
-	// down: the in-flight request must complete with 200, not be cut.
+	// Park one classify inside its running batch (a 300ms injected
+	// flush latency), then shut down: the in-flight request must
+	// complete with 200, not be cut.
+	if err := faultinject.Arm("server.batcher.flush", faultinject.Spec{Delay: 300 * time.Millisecond, Times: 1}); err != nil {
+		t.Fatal(err)
+	}
 	inflight := make(chan int, 1)
 	go func() {
 		var resp classifyResponse
